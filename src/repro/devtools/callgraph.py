@@ -11,9 +11,11 @@ builds that view from the already-parsed :class:`ModuleInfo` list:
   ``__init__`` re-exports);
 * :func:`Project.resolve_call` — best-effort resolution of one
   ``ast.Call`` to its target function(s) or class constructor;
-* :class:`CallGraph` — caller/callee adjacency with call sites, plus a
-  Tarjan SCC condensation giving a callee-first traversal order so
-  dataflow summaries converge in one or two passes.
+* :class:`CallGraph` — every call site's resolved targets and the
+  caller/callee adjacency, built once per project
+  (:attr:`Project.call_graph`), plus a Tarjan SCC condensation giving a
+  callee-first traversal order so dataflow summaries converge in one or
+  two passes.
 
 Resolution is deliberately *under*-approximate: an attribute call on an
 unknown receiver resolves only when exactly one project class defines a
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
-from repro.devtools.astutil import call_name, dotted_name, function_params
-from repro.devtools.registry import ModuleInfo
+from repro.devtools.astutil import dotted_name, function_params
+from repro.devtools.registry import ModuleInfo, module_dotted_name
 
 #: Attribute-call names never resolved by the unique-method-name rule:
 #: they collide with list/dict/set/str/queue/socket builtins, so a lone
@@ -45,23 +47,6 @@ _AMBIGUOUS_METHODS = frozenset(
         "run", "wait", "notify", "acquire", "release", "flush", "reset",
     }
 )
-
-
-def module_dotted_name(display_path: str) -> str | None:
-    """Dotted import path for a repo display path, or ``None``.
-
-    ``src/repro/records/serialize.py`` → ``repro.records.serialize``;
-    package ``__init__.py`` files map to the package itself.
-    """
-    parts = list(Path(display_path).parts)
-    if "repro" not in parts:
-        return None
-    parts = parts[parts.index("repro") :]
-    if not parts[-1].endswith(".py"):
-        return None
-    leaf = parts[-1][: -len(".py")]
-    parts = parts[:-1] if leaf == "__init__" else parts[:-1] + [leaf]
-    return ".".join(parts)
 
 
 @dataclass(frozen=True)
@@ -148,6 +133,8 @@ class Project:
         #: (display path, local alias) → dotted target ("repro.x.y" or
         #: "repro.x.y.symbol")
         self._imports: dict[tuple[str, str], str] = {}
+        #: dotted module name → display paths of the modules carrying it
+        self._paths_by_dotted: dict[str, list[str]] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, list[ClassInfo]] = {}
         self._methods_by_name: dict[str, list[FunctionInfo]] = {}
@@ -157,7 +144,7 @@ class Project:
 
     def _collect(self) -> None:
         for module in self.modules:
-            dotted = module_dotted_name(module.display_path)
+            dotted = module.index.dotted_name
             table: dict[str, object] = {}
             for stmt in module.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -207,6 +194,14 @@ class Project:
                         )
             if dotted is not None:
                 self._symbols[dotted] = table
+                self._paths_by_dotted.setdefault(dotted, []).append(
+                    module.display_path
+                )
+
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """The project's one call graph, built on first use."""
+        return CallGraph(self)
 
     # -- resolution --------------------------------------------------------
 
@@ -229,16 +224,15 @@ class Project:
             if symbol in table:
                 return table[symbol]
             # Package __init__ re-export: follow its own import of the name.
-            for module in self.modules:
-                if module_dotted_name(module.display_path) == module_part:
-                    onward = self._imports.get((module.display_path, symbol))
-                    if onward is not None:
-                        return self._resolve_dotted(onward, _depth + 1)
+            for path in self._paths_by_dotted.get(module_part, ()):
+                onward = self._imports.get((path, symbol))
+                if onward is not None:
+                    return self._resolve_dotted(onward, _depth + 1)
         return None
 
     def resolve_name(self, name: str, module: ModuleInfo) -> object | None:
         """A bare name in ``module`` → Function/ClassInfo, if known."""
-        dotted = module_dotted_name(module.display_path)
+        dotted = module.index.dotted_name
         if dotted is not None:
             table = self._symbols.get(dotted, {})
             if name in table:
@@ -306,18 +300,24 @@ class CallSite:
 
 
 class CallGraph:
-    """Caller/callee adjacency over a :class:`Project`."""
+    """Resolved call sites and caller/callee adjacency over a
+    :class:`Project`.
+
+    Every call inside every project function is resolved exactly once,
+    here; analyses read :meth:`targets` instead of resolving again.
+    """
 
     def __init__(self, project: Project):
         self.project = project
         self.callees: dict[str, list[CallSite]] = {}
         self.callers: dict[str, list[CallSite]] = {}
+        self._targets: dict[ast.Call, list[object]] = {}
         for info in project.functions.values():
             sites = []
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                for target in project.resolve_call(node, info):
+            for node in info.module.index.nodes(ast.Call, within=info.node):
+                targets = project.resolve_call(node, info)
+                self._targets[node] = targets
+                for target in targets:
                     if isinstance(target, ClassInfo):
                         target = target.init
                         if target is None:
@@ -327,77 +327,82 @@ class CallGraph:
                     self.callers.setdefault(target.qualname, []).append(site)
             self.callees[info.qualname] = sites
 
+    def targets(self, call: ast.Call) -> list[object]:
+        """Resolved targets of one call inside a project function
+        (:meth:`Project.resolve_call`'s answer, stored)."""
+        return self._targets.get(call, [])
+
     def call_sites_of(self, qualname: str) -> list[CallSite]:
         """Every resolved call site targeting ``qualname``."""
         return self.callers.get(qualname, [])
 
     def callee_first_order(self) -> list[FunctionInfo]:
-        """Functions ordered callees-before-callers (Tarjan SCC order).
-
-        Tarjan emits strongly connected components in reverse
-        topological order of the condensation, which is exactly the
-        order a bottom-up summary computation wants.
-        """
-        order: list[str] = []
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-
+        """Functions ordered callees-before-callers (Tarjan SCC order)."""
         graph = {
             name: [site.callee.qualname for site in sites]
             for name, sites in self.callees.items()
         }
-
-        def strongconnect(root: str) -> None:
-            # Iterative Tarjan: (node, iterator position) work stack.
-            work = [(root, 0)]
-            while work:
-                node, pos = work.pop()
-                if pos == 0:
-                    index[node] = lowlink[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                successors = graph.get(node, [])
-                for i in range(pos, len(successors)):
-                    succ = successors[i]
-                    if succ not in index:
-                        work.append((node, i + 1))
-                        work.append((succ, 0))
-                        recurse = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if recurse:
-                    continue
-                if lowlink[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        order.append(member)
-                        if member == node:
-                            break
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-        for name in graph:
-            if name not in index:
-                strongconnect(name)
         functions = self.project.functions
-        return [functions[name] for name in order if name in functions]
+        return [
+            functions[name]
+            for component in strongly_connected_components(graph)
+            for name in component
+            if name in functions
+        ]
 
 
-def iter_calls(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.Call]:
-    """Every call expression inside ``function`` (including nested)."""
-    for node in ast.walk(function):
-        if isinstance(node, ast.Call):
-            yield node
+def strongly_connected_components(
+    graph: Mapping[str, Sequence[str]],
+) -> list[list[str]]:
+    """Tarjan's strongly connected components of a digraph (iterative).
+
+    Components come out in reverse topological order of the
+    condensation — every component after the ones it reaches — which is
+    exactly the order a bottom-up summary computation wants.
+    """
+    components: list[list[str]] = []
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+
+    for root in graph:
+        if root in index:
+            continue
+        # (node, successor position) work stack instead of recursion.
+        work = [(root, 0)]
+        while work:
+            node, pos = work.pop()
+            if pos == 0:
+                index[node] = lowlink[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            recurse = False
+            successors = graph.get(node, ())
+            for i in range(pos, len(successors)):
+                succ = successors[i]
+                if succ not in index:
+                    work.append((node, i + 1))
+                    work.append((succ, 0))
+                    recurse = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            if recurse:
+                continue
+            if lowlink[node] == index[node]:
+                component: list[str] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return components
 
 
 def build_project(modules: Iterable[ModuleInfo]) -> Project:

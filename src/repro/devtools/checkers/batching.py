@@ -32,19 +32,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.devtools.astutil import call_name, iter_functions
+from repro.devtools.astutil import call_name
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import Checker, ModuleInfo, register
 
 #: Per-record primitives with a batch-sized counterpart (suffix match on
 #: the dotted callee, so ``.encrypt_batch`` itself never matches).
 _SCALAR_CALLS = (".encrypt", ".send", ".sendall", ".append_raw")
-
-
-def _loops(function: ast.AST) -> Iterator[ast.For | ast.While]:
-    for node in ast.walk(function):
-        if isinstance(node, (ast.For, ast.While)):
-            yield node
 
 
 @register
@@ -66,10 +60,11 @@ class BatchingChecker(Checker):
     # -- FRQ-B801 ----------------------------------------------------------
 
     def _check_scalar_loops(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for function in iter_functions(module.tree):
+        index = module.index
+        for function in index.functions():
             if "batch" not in function.name.lower():
                 continue
-            for loop in _loops(function):
+            for loop in index.nodes(ast.For, ast.While, within=function):
                 for node in ast.walk(loop):
                     if not isinstance(node, ast.Call):
                         continue
@@ -91,9 +86,7 @@ class BatchingChecker(Checker):
     # -- FRQ-B802 ----------------------------------------------------------
 
     def _check_close_flush(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
+        for node in module.index.nodes(ast.ClassDef):
             methods = {
                 item.name: item
                 for item in node.body
@@ -104,11 +97,10 @@ class BatchingChecker(Checker):
                 continue
             if not any("flush" in name.lower() for name in methods):
                 continue  # no batch accumulator to drop
-            for inner in ast.walk(close):
-                if isinstance(inner, ast.Call):
-                    name = call_name(inner)
-                    if name is not None and "flush" in name.lower():
-                        break
+            for inner in module.index.nodes(ast.Call, within=close):
+                name = call_name(inner)
+                if name is not None and "flush" in name.lower():
+                    break
             else:
                 yield self.diagnostic(
                     module,
@@ -126,27 +118,27 @@ class BatchingChecker(Checker):
     def _check_size_mutation(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         if module.is_module("core/flow.py"):
             return  # the controller is the one legitimate owner
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                if isinstance(node, ast.AnnAssign) and node.value is None:
-                    continue  # bare annotation, no mutation
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == "_batch_size"
-                    ):
-                        yield self.diagnostic(
-                            module,
-                            node,
-                            "FRQ-B803",
-                            "direct assignment to ._batch_size bypasses the "
-                            "adaptive controller (repro.core.flow) — its "
-                            "AIMD accounting, bounds clamping and gauges "
-                            "never see the change; adjust the size through "
-                            "AdaptiveBatchController instead",
-                        )
+        assignments = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+        for node in module.index.nodes(*assignments):
+            targets = (
+                node.targets
+                if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            if isinstance(node, ast.AnnAssign) and node.value is None:
+                continue  # bare annotation, no mutation
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "_batch_size"
+                ):
+                    yield self.diagnostic(
+                        module,
+                        node,
+                        "FRQ-B803",
+                        "direct assignment to ._batch_size bypasses the "
+                        "adaptive controller (repro.core.flow) — its "
+                        "AIMD accounting, bounds clamping and gauges "
+                        "never see the change; adjust the size through "
+                        "AdaptiveBatchController instead",
+                    )

@@ -110,7 +110,7 @@ class BudgetFlowChecker(ProjectChecker):
     }
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        graph = CallGraph(project)
+        graph = project.call_graph
         engine = TaintEngine(project, graph, GRANT_SPEC)
         engine.run()
         for info in project.functions.values():
@@ -133,8 +133,8 @@ class BudgetFlowChecker(ProjectChecker):
         result = engine.result_for(info)
         if result is None:
             return
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call) or not _is_draw_call(node):
+        for node in info.module.index.nodes(ast.Call, within=info.node):
+            if not _is_draw_call(node):
                 continue
             epsilon = _epsilon_argument(node)
             if epsilon is None or _is_numeric_literal(epsilon):
@@ -228,9 +228,7 @@ class BudgetFlowChecker(ProjectChecker):
     # -- FRQ-P312 ----------------------------------------------------------
 
     def _check_discards(self, info: FunctionInfo) -> Iterator[Diagnostic]:
-        for stmt in ast.walk(info.node):
-            if not isinstance(stmt, ast.Expr):
-                continue
+        for stmt in info.module.index.nodes(ast.Expr, within=info.node):
             call = stmt.value
             if not isinstance(call, ast.Call):
                 continue

@@ -76,28 +76,31 @@ def _lock_label(node: ast.expr) -> str:
     return dotted_name(node) or "<lock>"
 
 
-def _collect_lock_attrs(cls: ast.ClassDef) -> set[str]:
+def class_lock_attrs(module: ModuleInfo, cls: ast.ClassDef) -> frozenset[str]:
     """``self.X`` attributes assigned a lock constructor anywhere in
-    ``cls``."""
-    lock_attrs: set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if call_name(node.value) in _LOCK_FACTORIES:
+    ``cls`` (computed once per class; the lock-order checker shares it)."""
+
+    def collect() -> frozenset[str]:
+        lock_attrs: set[str] = set()
+        for node in module.index.nodes(ast.Assign, within=cls):
+            if (
+                isinstance(node.value, ast.Call)
+                and call_name(node.value) in _LOCK_FACTORIES
+            ):
                 for target in node.targets:
                     attr = self_attr(target)
                     if attr is not None:
                         lock_attrs.add(attr)
-    return lock_attrs
+        return frozenset(lock_attrs)
+
+    return module.index.memo(("lock-attrs", cls), collect)
 
 
-def _thread_target_methods(cls: ast.ClassDef) -> set[str]:
+def _thread_target_methods(module: ModuleInfo, cls: ast.ClassDef) -> set[str]:
     """Methods of ``cls`` passed as ``threading.Thread(target=self.m)``."""
     targets: set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Call) and call_name(node) in (
-            "threading.Thread",
-            "Thread",
-        ):
+    for node in module.index.nodes(ast.Call, within=cls):
+        if call_name(node) in ("threading.Thread", "Thread"):
             target = keyword_arg(node, "target")
             if target is not None:
                 attr = self_attr(target)
@@ -107,7 +110,7 @@ def _thread_target_methods(cls: ast.ClassDef) -> set[str]:
 
 
 def _method_call_closure(
-    cls: ast.ClassDef, roots: set[str]
+    module: ModuleInfo, cls: ast.ClassDef, roots: set[str]
 ) -> set[str]:
     """Method names reachable from ``roots`` via ``self.m()`` calls."""
     methods = {
@@ -122,18 +125,17 @@ def _method_call_closure(
         if name in reachable:
             continue
         reachable.add(name)
-        for node in ast.walk(methods[name]):
-            if isinstance(node, ast.Call):
-                callee = self_attr(node.func)
-                if callee in methods and callee not in reachable:
-                    frontier.append(callee)
+        for node in module.index.nodes(ast.Call, within=methods[name]):
+            callee = self_attr(node.func)
+            if callee in methods and callee not in reachable:
+                frontier.append(callee)
     return reachable
 
 
 class _HeldLockVisitor(ast.NodeVisitor):
     """Walk a function body tracking the stack of held locks."""
 
-    def __init__(self, lock_attrs: set[str]):
+    def __init__(self, lock_attrs: frozenset[str]):
         self.lock_attrs = lock_attrs
         self.held: list[ast.expr] = []
         #: (node, held-lock labels) for every visited statement/expr.
@@ -169,13 +171,14 @@ class _HeldLockVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
-def _locks_guarding(node: ast.AST, function: ast.AST, lock_attrs: set[str]) -> bool:
-    """Whether ``node`` sits lexically inside a ``with <lock>:`` block of
-    ``function``."""
+def _held_locks(
+    function: ast.AST, lock_attrs: frozenset[str]
+) -> _HeldLockVisitor:
+    """The held-lock events and nesting edges of one function body."""
     visitor = _HeldLockVisitor(lock_attrs)
-    for stmt in getattr(function, "body", []):
+    for stmt in function.body:
         visitor.visit(stmt)
-    return any(event_node is node for event_node, _ in visitor.events)
+    return visitor
 
 
 def _blocking_reason(call: ast.Call) -> str | None:
@@ -217,22 +220,29 @@ class ConcurrencyChecker(Checker):
     }
 
     def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
-        yield from self._check_lock_order(module)
-        yield from self._check_blocking_under_lock(module)
+        classes = [n for n in module.tree.body if isinstance(n, ast.ClassDef)]
+        for node in classes:
+            yield from self._check_class(module, node)
+        lock_attrs = frozenset().union(
+            *(class_lock_attrs(module, node) for node in classes)
+        )
+        walks = [
+            _held_locks(function, lock_attrs)
+            for function in module.index.functions()
+        ]
+        yield from self._check_lock_order(module, walks)
+        yield from self._check_blocking_under_lock(module, walks)
 
     # -- FRQ-C101 ----------------------------------------------------------
 
     def _check_class(
         self, module: ModuleInfo, cls: ast.ClassDef
     ) -> Iterator[Diagnostic]:
-        thread_targets = _thread_target_methods(cls)
+        thread_targets = _thread_target_methods(module, cls)
         if not thread_targets:
             return
-        lock_attrs = _collect_lock_attrs(cls)
-        reachable = _method_call_closure(cls, thread_targets)
+        lock_attrs = class_lock_attrs(module, cls)
+        reachable = _method_call_closure(module, cls, thread_targets)
         methods = {
             stmt.name: stmt
             for stmt in cls.body
@@ -242,38 +252,36 @@ class ConcurrencyChecker(Checker):
             method = methods[name]
             if name == "__init__":
                 continue
-            for stmt in ast.walk(method):
-                if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        stmt.targets
-                        if isinstance(stmt, ast.Assign)
-                        else [stmt.target]
+            guarded = {
+                node for node, _ in _held_locks(method, lock_attrs).events
+            }
+            for stmt in module.index.nodes(
+                ast.Assign, ast.AugAssign, within=method
+            ):
+                targets = (
+                    stmt.targets
+                    if isinstance(stmt, ast.Assign)
+                    else [stmt.target]
+                )
+                for target in targets:
+                    attr = self_attr(target)
+                    if attr is None or attr in lock_attrs or stmt in guarded:
+                        continue
+                    yield self.diagnostic(
+                        module,
+                        stmt,
+                        "FRQ-C101",
+                        f"self.{attr} is mutated in {cls.name}.{name}(), "
+                        f"which runs on a threading.Thread target, "
+                        f"without holding a lock of {cls.name}",
                     )
-                    for target in targets:
-                        attr = self_attr(target)
-                        if attr is None or attr in lock_attrs:
-                            continue
-                        if _locks_guarding(stmt, method, lock_attrs):
-                            continue
-                        yield self.diagnostic(
-                            module,
-                            stmt,
-                            "FRQ-C101",
-                            f"self.{attr} is mutated in {cls.name}.{name}(), "
-                            f"which runs on a threading.Thread target, "
-                            f"without holding a lock of {cls.name}",
-                        )
 
     # -- FRQ-C102 ----------------------------------------------------------
 
     def _check_blocking_under_lock(
-        self, module: ModuleInfo
+        self, module: ModuleInfo, walks: list[_HeldLockVisitor]
     ) -> Iterator[Diagnostic]:
-        lock_attrs = self._module_lock_attrs(module)
-        for function in self._module_functions(module):
-            visitor = _HeldLockVisitor(lock_attrs)
-            for stmt in function.body:
-                visitor.visit(stmt)
+        for visitor in walks:
             for node, held in visitor.events:
                 if isinstance(node, ast.Call):
                     reason = _blocking_reason(node)
@@ -289,14 +297,12 @@ class ConcurrencyChecker(Checker):
 
     # -- FRQ-C103 ----------------------------------------------------------
 
-    def _check_lock_order(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        lock_attrs = self._module_lock_attrs(module)
+    def _check_lock_order(
+        self, module: ModuleInfo, walks: list[_HeldLockVisitor]
+    ) -> Iterator[Diagnostic]:
         edges: dict[str, set[str]] = {}
         sites: dict[tuple[str, str], ast.With] = {}
-        for function in self._module_functions(module):
-            visitor = _HeldLockVisitor(lock_attrs)
-            for stmt in function.body:
-                visitor.visit(stmt)
+        for visitor in walks:
             for outer, inner, node in visitor.edges:
                 if outer == inner:
                     continue
@@ -319,19 +325,3 @@ class ConcurrencyChecker(Checker):
                         f"holding the other — AB/BA deadlock under "
                         f"contention",
                     )
-
-    # -- shared helpers ----------------------------------------------------
-
-    @staticmethod
-    def _module_lock_attrs(module: ModuleInfo) -> set[str]:
-        lock_attrs: set[str] = set()
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef):
-                lock_attrs |= _collect_lock_attrs(node)
-        return lock_attrs
-
-    @staticmethod
-    def _module_functions(module: ModuleInfo):
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node

@@ -85,7 +85,7 @@ class CryptoChecker(Checker):
     # -- FRQ-X201 ----------------------------------------------------------
 
     def _check_modes_and_ivs(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes(ast.Attribute, ast.Call):
             if isinstance(node, ast.Attribute) and node.attr == "MODE_ECB":
                 yield self.diagnostic(
                     module,
@@ -124,7 +124,7 @@ class CryptoChecker(Checker):
     # -- FRQ-X202 ----------------------------------------------------------
 
     def _check_hardcoded_keys(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes(ast.Assign, ast.Call):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if _is_key_name(dotted_name(target)) and _is_secret_literal(
@@ -159,11 +159,16 @@ class CryptoChecker(Checker):
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         in_crypto = module.in_package("crypto")
-        for function in self._functions(module):
-            digest_names = self._names_assigned_digests(function)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Compare):
-                    continue
+        index = module.index
+        for function in index.functions():
+            digest_names = {
+                target.id
+                for node in index.nodes(ast.Assign, within=function)
+                if _digest_call(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in index.nodes(ast.Compare, within=function):
                 if not any(
                     isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
                 ):
@@ -182,22 +187,6 @@ class CryptoChecker(Checker):
                     )
 
     @staticmethod
-    def _functions(module: ModuleInfo):
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    @staticmethod
-    def _names_assigned_digests(function: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and _digest_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
     def _is_digest_operand(
         node: ast.expr, digest_names: set[str], in_crypto: bool
     ) -> bool:
@@ -213,7 +202,7 @@ class CryptoChecker(Checker):
     # -- FRQ-X204 ----------------------------------------------------------
 
     def _check_weak_random(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random":

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.devtools.astutil import call_name, iter_functions
+from repro.devtools.astutil import call_name
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import Checker, ModuleInfo, register
 
@@ -104,12 +104,11 @@ class DurabilityChecker(Checker):
     def _check_journal_ordering(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for function in iter_functions(module.tree):
+        index = module.index
+        for function in index.functions():
             first_append: ast.Call | None = None
             first_pipeline: ast.Call | None = None
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in index.nodes(ast.Call, within=function):
                 name = call_name(node)
                 if name is None:
                     continue
@@ -142,12 +141,11 @@ class DurabilityChecker(Checker):
     # -- FRQ-D702 ----------------------------------------------------------
 
     def _check_atomic_writes(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for function in iter_functions(module.tree):
+        index = module.index
+        for function in index.functions():
             writes: list[ast.Call] = []
             has_fsync = has_replace = False
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in index.nodes(ast.Call, within=function):
                 name = call_name(node)
                 if name is None:
                     continue
@@ -173,9 +171,7 @@ class DurabilityChecker(Checker):
     def _check_unledgered_spends(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             name = call_name(node)
             if name is None or not name.endswith(".spend"):
                 continue

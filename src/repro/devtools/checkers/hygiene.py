@@ -62,9 +62,7 @@ class HygieneChecker(Checker):
     # -- FRQ-H401 ----------------------------------------------------------
 
     def _check_handlers(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.index.nodes(ast.ExceptHandler):
             if node.type is None:
                 yield self.diagnostic(
                     module,
@@ -99,9 +97,7 @@ class HygieneChecker(Checker):
     def _check_mutable_defaults(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in module.index.functions():
             defaults = list(node.args.defaults) + [
                 default
                 for default in node.args.kw_defaults
@@ -124,9 +120,7 @@ class HygieneChecker(Checker):
     # -- FRQ-H403 ----------------------------------------------------------
 
     def _check_determinism(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             name = call_name(node)
             if name in _WALLCLOCK_CALLS:
                 yield self.diagnostic(

@@ -27,11 +27,12 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.devtools.callgraph import CallGraph, FunctionInfo, Project
-from repro.devtools.checkers.concurrency import (
-    _collect_lock_attrs,
-    _LOCK_NAME_RE,
+from repro.devtools.callgraph import (
+    FunctionInfo,
+    Project,
+    strongly_connected_components,
 )
+from repro.devtools.checkers.concurrency import _LOCK_NAME_RE, class_lock_attrs
 from repro.devtools.astutil import dotted_name, self_attr
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import ModuleInfo, ProjectChecker, register
@@ -56,17 +57,17 @@ def _in_scope(module: ModuleInfo) -> bool:
     return module.in_package(*_SCOPED_PACKAGES)
 
 
-def _lock_attrs_of(project: Project, info: FunctionInfo) -> set[str]:
+def _lock_attrs_of(project: Project, info: FunctionInfo) -> frozenset[str]:
     if info.class_name is None:
-        return set()
+        return frozenset()
     cls = project.class_named(info.class_name)
     if cls is None:
-        return set()
-    return _collect_lock_attrs(cls.node)
+        return frozenset()
+    return class_lock_attrs(cls.module, cls.node)
 
 
 def _global_label(
-    expr: ast.expr, info: FunctionInfo, lock_attrs: set[str]
+    expr: ast.expr, info: FunctionInfo, lock_attrs: frozenset[str]
 ) -> str | None:
     """Class- or module-wide identity of a lock expression."""
     attr = self_attr(expr)
@@ -85,7 +86,7 @@ def _global_label(
 class _LockWalker(ast.NodeVisitor):
     """Collects held-lock nesting and calls-under-lock for one function."""
 
-    def __init__(self, info: FunctionInfo, lock_attrs: set[str]):
+    def __init__(self, info: FunctionInfo, lock_attrs: frozenset[str]):
         self.info = info
         self.lock_attrs = lock_attrs
         self.held: list[str] = []
@@ -137,7 +138,7 @@ class LockOrderChecker(ProjectChecker):
     }
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        graph = CallGraph(project)
+        graph = project.call_graph
         walkers: dict[str, _LockWalker] = {}
         for info in project.functions.values():
             if not _in_scope(info.module):
@@ -203,11 +204,11 @@ class LockOrderChecker(ProjectChecker):
     def _report_cycles(
         self, edges: dict[tuple[str, str], LockEdge]
     ) -> Iterable[Diagnostic]:
-        adjacency: dict[str, set[str]] = {}
-        for outer, inner in edges:
-            adjacency.setdefault(outer, set()).add(inner)
-            adjacency.setdefault(inner, set())
-        for component in _tarjan_sccs(adjacency):
+        adjacency: dict[str, list[str]] = {}
+        for outer, inner in sorted(edges):
+            adjacency.setdefault(outer, []).append(inner)
+            adjacency.setdefault(inner, [])
+        for component in strongly_connected_components(adjacency):
             if len(component) < 2:
                 continue
             members = sorted(component)
@@ -238,51 +239,3 @@ class LockOrderChecker(ProjectChecker):
                 f"{description} — threads taking these locks in different "
                 f"orders can deadlock",
             )
-
-
-def _tarjan_sccs(adjacency: dict[str, set[str]]) -> list[set[str]]:
-    """Strongly connected components of a small digraph (iterative)."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[set[str]] = []
-    counter = [0]
-
-    for root in adjacency:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            successors = sorted(adjacency.get(node, ()))
-            for i in range(pos, len(successors)):
-                succ = successors[i]
-                if succ not in index:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components

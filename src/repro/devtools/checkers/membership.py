@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.devtools.astutil import call_name, iter_functions
+from repro.devtools.astutil import call_name
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import Checker, ModuleInfo, register
 
@@ -59,13 +59,14 @@ class MembershipChecker(Checker):
     # -- FRQ-E1101 ----------------------------------------------------------
 
     def _check_epoch_gate(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for function in iter_functions(module.tree):
+        index = module.index
+        for function in index.functions():
             if function.name not in _PAIR_HANDLERS:
                 continue
             admit_line = None
             pairs_line = None
             pairs_node = None
-            for node in ast.walk(function):
+            for node in index.nodes(ast.Call, ast.Attribute, within=function):
                 if isinstance(node, ast.Call):
                     name = call_name(node)
                     if name is not None and name.endswith("_admit_epoch"):
@@ -107,9 +108,8 @@ class MembershipChecker(Checker):
     ) -> Iterator[Diagnostic]:
         if module.is_module("core/membership.py"):
             return  # the Membership object is the one legitimate owner
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                continue
+        assignments = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+        for node in module.index.nodes(*assignments):
             if isinstance(node, ast.AnnAssign) and node.value is None:
                 continue  # bare annotation, no mutation
             targets = (

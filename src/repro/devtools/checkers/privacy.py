@@ -65,9 +65,7 @@ class PrivacyBudgetChecker(Checker):
 
     def _check_sampling(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         tainted = self._mechanism_names(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             if not isinstance(node.func, ast.Attribute):
                 continue
             method = node.func.attr
@@ -113,10 +111,8 @@ class PrivacyBudgetChecker(Checker):
     def _mechanism_names(module: ModuleInfo) -> set[str]:
         """Names anywhere in the module assigned from LaplaceMechanism."""
         names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Call
-            ):
+        for node in module.index.nodes(ast.Assign):
+            if isinstance(node.value, ast.Call):
                 callee = call_name(node.value) or ""
                 if callee.endswith("LaplaceMechanism"):
                     for target in node.targets:
@@ -130,7 +126,7 @@ class PrivacyBudgetChecker(Checker):
     def _check_epsilon_literals(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes(ast.Call, ast.Assign, ast.AnnAssign):
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
                     if (
@@ -159,7 +155,7 @@ class PrivacyBudgetChecker(Checker):
                         "LaplaceMechanism built with a literal epsilon — "
                         "thread the configured epsilon through instead",
                     )
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            else:
                 targets = (
                     node.targets
                     if isinstance(node, ast.Assign)
@@ -186,9 +182,7 @@ class PrivacyBudgetChecker(Checker):
     def _check_noise_plan_literals(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             callee = call_name(node) or ""
             if not callee.rsplit(".", 1)[-1] == "draw_noise_plan":
                 continue

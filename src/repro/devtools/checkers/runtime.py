@@ -115,16 +115,15 @@ class RuntimeChecker(Checker):
     # -- FRQ-R601 ----------------------------------------------------------
 
     def _check_raw_dials(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        router_calls: set[ast.Call] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "Router":
-                router_calls.update(
-                    child
-                    for child in ast.walk(node)
-                    if isinstance(child, ast.Call)
-                )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or node in router_calls:
+        index = module.index
+        router_calls = {
+            call
+            for cls in index.nodes(ast.ClassDef)
+            if cls.name == "Router"
+            for call in index.nodes(ast.Call, within=cls)
+        }
+        for node in index.nodes(ast.Call):
+            if node in router_calls:
                 continue
             if call_name(node) in _DIAL_CALLS:
                 yield self.diagnostic(
@@ -141,9 +140,7 @@ class RuntimeChecker(Checker):
     def _check_swallowed_errors(
         self, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Try):
-                continue
+        for node in module.index.nodes(ast.Try):
             cleanup = _is_cleanup_try(node)
             for handler in node.handlers:
                 if cleanup:

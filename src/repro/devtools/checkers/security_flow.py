@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from repro.devtools.callgraph import CallGraph, Project
+from repro.devtools.callgraph import Project
 from repro.devtools.dataflow import SinkSpec, TaintEngine, TaintSpec
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import ProjectChecker, register
@@ -125,7 +125,7 @@ class SecurityFlowChecker(ProjectChecker):
     }
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        graph = CallGraph(project)
+        graph = project.call_graph
         for code, spec, what in (
             ("FRQ-S901", PLAINTEXT_SPEC, "plaintext record data"),
             ("FRQ-S902", KEY_MATERIAL_SPEC, "key material"),

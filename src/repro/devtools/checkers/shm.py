@@ -94,7 +94,7 @@ class SharedMemoryChecker(Checker):
     ) -> Iterator[Diagnostic]:
         if module.is_module(_RAW_BUF_MODULE):
             return
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes(ast.Assign, ast.AugAssign, ast.Call):
             for site, receiver in _buf_write_targets(node):
                 yield self.diagnostic(
                     module,
@@ -111,9 +111,7 @@ class SharedMemoryChecker(Checker):
         constructions: list[ast.Call] = []
         creations: list[ast.Call] = []
         closed = unlinked = False
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             name = call_name(node)
             if name in _SHM_FACTORIES:
                 constructions.append(node)

@@ -60,9 +60,7 @@ class TelemetryChecker(Checker):
     # -- FRQ-T501 ----------------------------------------------------------
 
     def _check_clock_reads(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.nodes(ast.Call):
             name = call_name(node)
             if name in _CLOCK_CALLS:
                 yield self.diagnostic(
@@ -82,11 +80,8 @@ class TelemetryChecker(Checker):
             return
         if module.in_package("devtools"):
             return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and call_name(node) == "print"
-            ):
+        for node in module.index.nodes(ast.Call):
+            if call_name(node) == "print":
                 yield self.diagnostic(
                     module,
                     node,

@@ -341,18 +341,33 @@ class TaintEngine:
 
     def run(self) -> None:
         order = self.graph.callee_first_order()
+        # A function's analysis reads nothing but its callees' summaries,
+        # so it is redone only when one of them changed since its last
+        # run; ``stamp`` counts summary changes.
+        stamp = 0
+        changed_at: dict[str, int] = {}
+        seen_at: dict[str, int] = {}
         for _ in range(self.max_rounds):
             changed = False
             for info in order:
+                name = info.qualname
+                if name in seen_at and all(
+                    changed_at.get(site.callee.qualname, 0) <= seen_at[name]
+                    for site in self.graph.callees[name]
+                ):
+                    continue
+                seen_at[name] = stamp
                 result = _FunctionAnalysis(self, info).run()
-                previous = self.summaries.get(info.qualname)
+                previous = self.summaries.get(name)
                 if (
                     previous is None
                     or previous.signature() != result.summary.signature()
                 ):
                     changed = True
-                self.summaries[info.qualname] = result.summary
-                self.results[info.qualname] = result
+                    stamp += 1
+                    changed_at[name] = stamp
+                self.summaries[name] = result.summary
+                self.results[name] = result
             if not changed:
                 break
 
@@ -697,7 +712,7 @@ class _FunctionAnalysis:
             return EMPTY
 
         # 3. Resolved project callees: apply their summaries.
-        targets = self.engine.project.resolve_call(node, self.info)
+        targets = self.engine.graph.targets(node)
         result = EMPTY
         resolved = False
         for target in targets:

@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.devtools.astcache import CACHE_DIR_NAME, AstCache
 from repro.devtools.baseline import Baseline, render_baseline
 from repro.devtools.callgraph import build_project
 from repro.devtools.diagnostics import Diagnostic, is_suppressed
@@ -64,30 +63,23 @@ def discover_files(paths: Iterable[Path]) -> list[Path]:
     return sorted(files)
 
 
-def load_module(
-    path: Path, root: Path, cache: AstCache | None = None
-) -> ModuleInfo | Diagnostic:
+def load_module(path: Path, root: Path) -> ModuleInfo | Diagnostic:
     """Parse one file; a syntax error becomes a diagnostic, not a crash."""
     try:
         display = path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         display = path.as_posix()
-    raw = path.read_bytes()
-    source = raw.decode("utf-8")
-    tree = cache.get(raw) if cache is not None else None
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as error:
-            return Diagnostic(
-                path=display,
-                line=error.lineno or 1,
-                col=(error.offset or 1),
-                code="FRQ-E000",
-                message=f"syntax error: {error.msg}",
-            )
-        if cache is not None:
-            cache.put(raw, tree)
+    source = path.read_bytes().decode("utf-8")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as error:
+        return Diagnostic(
+            path=display,
+            line=error.lineno or 1,
+            col=(error.offset or 1),
+            code="FRQ-E000",
+            message=f"syntax error: {error.msg}",
+        )
     return ModuleInfo(
         path=path,
         display_path=display,
@@ -125,7 +117,6 @@ def run_lint(
     root: Path,
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    cache: AstCache | None = None,
 ) -> list[Diagnostic]:
     """All unsuppressed diagnostics for ``paths`` (baseline not applied)."""
 
@@ -140,7 +131,7 @@ def run_lint(
     diagnostics: list[Diagnostic] = []
     modules: list[ModuleInfo] = []
     for path in discover_files(paths):
-        module = load_module(path, root, cache=cache)
+        module = load_module(path, root)
         if isinstance(module, Diagnostic):
             diagnostics.append(module)
             continue
@@ -206,11 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         help="findings output format (default: text)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="parse every file fresh, bypassing the AST cache",
-    )
-    parser.add_argument(
         "--changed-only",
         action="store_true",
         help=(
@@ -244,14 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     baseline_path = (
         Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
     )
-    cache = None if args.no_cache else AstCache(root / CACHE_DIR_NAME)
 
     diagnostics = run_lint(
         paths,
         root,
         select=set(args.select) or None,
         ignore=set(args.ignore) or None,
-        cache=cache,
     )
 
     if args.update_baseline:

@@ -810,6 +810,14 @@ class ShmFresqueCluster:
         proc.kill()
         proc.join(timeout=5.0)
 
+    def _trusted_role_died(self) -> bool:
+        """Whether checking, merger or cloud exited abnormally."""
+        return any(
+            proc.exitcode not in (None, 0)
+            for role, proc in self._procs.items()
+            if not role.startswith("cn-")
+        )
+
     def shutdown(self, timeout: float = 30.0) -> None:
         """Close the parent rings, cascade-drain the workers, reap the
         shared memory.  Idempotent."""
@@ -821,8 +829,15 @@ class ShmFresqueCluster:
             self._channel.close()
             self._rings["p2cl"].mark_closed()
             deadline = WALL_CLOCK.now() + timeout
-            for role, proc in self._procs.items():
-                proc.join(timeout=max(0.1, deadline - WALL_CLOCK.now()))
+            for proc in self._procs.values():
+                # Once a trusted role is dead the close cascade cannot
+                # drain: stop waiting and terminate the survivors.
+                while (
+                    proc.is_alive()
+                    and not self._trusted_role_died()
+                    and WALL_CLOCK.now() < deadline
+                ):
+                    proc.join(timeout=0.05)
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=2.0)

@@ -1,5 +1,8 @@
 """Symbol table and call graph construction."""
 
+from collections import Counter
+
+from repro.devtools import callgraph
 from repro.devtools.callgraph import (
     CallGraph,
     ClassInfo,
@@ -8,7 +11,7 @@ from repro.devtools.callgraph import (
     module_dotted_name,
 )
 
-from tests.devtools.conftest import parse_module
+from tests.devtools.conftest import codes_of, lint_files, parse_module
 
 
 def project_of(files: dict[str, str]):
@@ -178,3 +181,91 @@ def test_recursive_functions_still_get_an_order():
     )
     order = [info.name for info in CallGraph(project).callee_first_order()]
     assert sorted(order) == ["ping", "pong"]
+
+
+def test_whole_program_lint_builds_one_graph_and_resolves_each_call_once(
+    monkeypatch,
+):
+    graphs = []
+    resolutions = Counter()
+    build_graph = CallGraph.__init__
+    resolve_call = callgraph.Project.resolve_call
+
+    def counting_init(self, project):
+        graphs.append(self)
+        build_graph(self, project)
+
+    def counting_resolve(self, call, scope):
+        resolutions[call] += 1
+        return resolve_call(self, call, scope)
+
+    monkeypatch.setattr(CallGraph, "__init__", counting_init)
+    monkeypatch.setattr(callgraph.Project, "resolve_call", counting_resolve)
+    diagnostics = lint_files(
+        {
+            "src/repro/core/pipeline.py": """
+            def ingest(line, sock):
+                record = parse_raw_line(line)
+                ship(record, sock)
+
+            def ship(record, sock):
+                sock.sendall(record)
+            """,
+            "src/repro/core/driver.py": """
+            from repro.index.perturb import draw_noise_plan
+
+            class Driver:
+                def open_publication(self):
+                    self._draw(self.config.epsilon)
+
+                def _draw(self, epsilon):
+                    return draw_noise_plan(self.tree, epsilon)
+
+                def close_publication(self):
+                    self.accountant.grant()
+            """,
+            "src/repro/index/perturb.py": """
+            def draw_noise_plan(tree, epsilon, rng=None):
+                pass
+            """,
+            "src/repro/runtime/router.py": """
+            import threading
+            from repro.core.node import Node
+
+            class Router:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.node = Node()
+
+                def deliver(self):
+                    with self._lock:
+                        self.node.absorb()
+
+                def unlocked_entry(self):
+                    with self._lock:
+                        pass
+            """,
+            "src/repro/core/node.py": """
+            import threading
+
+            class Node:
+                def __init__(self):
+                    self._guard = threading.Lock()
+
+                def absorb(self):
+                    with self._guard:
+                        pass
+
+                def reverse(self, router):
+                    with self._guard:
+                        router.unlocked_entry()
+            """,
+        }
+    )
+    # Every whole-program family fired on the shared graph...
+    assert codes_of(diagnostics) == [
+        "FRQ-L1001", "FRQ-P311", "FRQ-P312", "FRQ-S901",
+    ]
+    # ...which was built once, resolving each call site at most once.
+    assert len(graphs) == 1
+    assert resolutions and max(resolutions.values()) == 1

@@ -1,13 +1,11 @@
-"""JSON/SARIF output, the AST cache, and the new CLI modes."""
+"""JSON/SARIF output and the CLI modes."""
 
-import ast
 import json
 import shutil
 import subprocess
 
 import pytest
 
-from repro.devtools.astcache import AstCache
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.lint import changed_files, main
 from repro.devtools.output import render_json, render_sarif
@@ -62,22 +60,6 @@ def test_render_sarif_empty_findings_is_valid():
     assert document["runs"][0]["results"] == []
 
 
-def test_ast_cache_roundtrip_and_corruption(tmp_path):
-    cache = AstCache(tmp_path / "cache")
-    source = b"x = 1\n"
-    assert cache.get(source) is None
-    cache.put(source, ast.parse(source.decode()))
-    tree = cache.get(source)
-    assert isinstance(tree, ast.Module)
-    assert cache.hits == 1 and cache.misses == 1
-    # Corrupt every entry: the cache must degrade to a miss, not crash.
-    for entry in (tmp_path / "cache").iterdir():
-        entry.write_bytes(b"not a pickle")
-    assert cache.get(source) is None
-    # A different content hash is a separate entry.
-    assert cache.get(b"x = 2\n") is None
-
-
 def make_repo(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname='t'\n")
     package = tmp_path / "src"
@@ -94,7 +76,7 @@ def make_repo(tmp_path):
 def test_cli_json_format_end_to_end(tmp_path, monkeypatch, capsys):
     make_repo(tmp_path)
     monkeypatch.chdir(tmp_path)
-    status = main(["--format", "json", "--no-cache", "src"])
+    status = main(["--format", "json", "src"])
     document = json.loads(capsys.readouterr().out)
     assert status == 1
     codes = {finding["code"] for finding in document["findings"]}
@@ -104,24 +86,10 @@ def test_cli_json_format_end_to_end(tmp_path, monkeypatch, capsys):
 def test_cli_sarif_format_end_to_end(tmp_path, monkeypatch, capsys):
     make_repo(tmp_path)
     monkeypatch.chdir(tmp_path)
-    status = main(["--format", "sarif", "--no-cache", "src"])
+    status = main(["--format", "sarif", "src"])
     document = json.loads(capsys.readouterr().out)
     assert status == 1
     assert document["runs"][0]["results"]
-
-
-def test_cli_populates_and_reuses_the_cache(tmp_path, monkeypatch, capsys):
-    make_repo(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    main(["src"])
-    cache_dir = tmp_path / ".fresque-lint-cache"
-    entries = list(cache_dir.iterdir())
-    assert entries, "first run must populate the cache"
-    # Second run parses nothing new: same entries, same findings.
-    capsys.readouterr()
-    status = main(["src"])
-    assert status == 1
-    assert sorted(cache_dir.iterdir()) == sorted(entries)
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
@@ -146,14 +114,14 @@ def test_changed_only_filters_to_uncommitted_files(tmp_path, monkeypatch, capsys
 
     monkeypatch.chdir(tmp_path)
     # dirty.py is committed and unchanged: its finding must be filtered.
-    status = main(["--changed-only", "--no-cache", "src"])
+    status = main(["--changed-only", "src"])
     assert status == 0
     capsys.readouterr()
 
     # Touching the file's *content* brings its findings back.
     dirty.write_text("def bad(items=[], more={}):\n    return items\n")
     assert changed_files(tmp_path) == {"src/dirty.py"}
-    status = main(["--changed-only", "--no-cache", "src"])
+    status = main(["--changed-only", "src"])
     out = capsys.readouterr().out
     assert status == 1
     assert "dirty.py" in out and "clean.py" not in out

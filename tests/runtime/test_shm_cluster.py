@@ -26,6 +26,7 @@ from repro.datasets.flu import FluSurveyGenerator, flu_domain
 from repro.records.schema import flu_survey_schema
 from repro.runtime.shm.cluster import ShmFresqueCluster
 from repro.runtime.shm.workers import CheckingGate, stats_fields
+from repro.telemetry.clock import WALL_CLOCK
 
 _MASTER_KEY = b"fresque-test-master-key-32bytes!"
 _SEED = 20210323
@@ -236,4 +237,13 @@ class TestWorkerCrash:
             with pytest.raises(WorkerDied):
                 cluster._supervise()
         finally:
+            started = WALL_CLOCK.now()
             cluster.shutdown()
+            elapsed = WALL_CLOCK.now() - started
+        # With checking dead the close cascade cannot drain: shutdown
+        # terminates the survivors instead of waiting out its 30 s
+        # deadline, and still reaps every segment.
+        assert elapsed < 10.0, f"shutdown took {elapsed:.1f}s"
+        for ring in cluster._rings.values():
+            with pytest.raises(FileNotFoundError):
+                os.stat(f"/dev/shm/{ring.name}")
