@@ -188,64 +188,85 @@ class Merger:
             for key, messages in state["early_removed"].items()
         }
 
-    def _encrypted_dummy(
-        self, leaf_offset: int, publication: int, counter: int
-    ):
-        low, high = self.config.domain.leaf_range(leaf_offset)
-        value = low if high <= low else low + self._rng.random() * (high - low)
-        plaintext = self._dummy_serializer.serialize(value)
-        if self.config.deterministic_ivs:
-            # Keyed on (publication, padding index): the merge job seals
-            # leaves in a fixed order, so the counter sequence — and with
-            # it every padding IV — is identical in every runtime.
-            ciphertext = self.cipher.encrypt_seeded(
-                plaintext, padding_nonce(publication, counter)
-            )
-        else:
-            ciphertext = self.cipher.encrypt(plaintext)
-        return EncryptedRecord(
-            leaf_offset=None,
-            ciphertext=ciphertext,
-            publication=publication,
-        )
-
     def on_al(self, message: AlSnapshot) -> list[tuple[str, object]]:
         """The merge job: build the secure index and overflow arrays."""
         start = self._tel.now()
-        state = self._states.pop(message.publication, None)
+        publication = message.publication
+        state = self._states.pop(publication, None)
         if state is None:
-            raise KeyError(
-                f"AL for unknown publication {message.publication}"
-            )
+            raise KeyError(f"AL for unknown publication {publication}")
         template = IndexTemplate(
             self.config.domain, fanout=self.config.fanout, plan=state.plan
         )
         tree = merge_template_and_counts(template, list(message.al))
 
+        # One pass over the leaves draws every padding value and shuffle in
+        # the order a leaf-by-leaf seal would (``random.shuffle``'s draws
+        # depend only on the list length, so shuffling slot numbers yields
+        # the permutation the padded array would get), then one batch call
+        # encrypts all the padding.
         capacity = self.config.overflow_capacity
-        padding_encrypts = 0
+        domain = self.config.domain
+        rng = self._rng
+        draw = rng.random
+        serialize = self._dummy_serializer.serialize
+        plaintexts: list[bytes] = []
+        layouts = []
         removed_total = 0
+        for offset in range(domain.num_leaves):
+            removed = state.removed.get(offset, ())[:capacity]
+            missing = capacity - len(removed)
+            if missing:
+                low, high = domain.leaf_range(offset)
+                if high <= low:
+                    plaintexts += [serialize(low)] * missing
+                else:
+                    width = high - low
+                    plaintexts += [
+                        serialize(low + draw() * width)
+                        for _ in range(missing)
+                    ]
+            slots = list(range(capacity))
+            rng.shuffle(slots)
+            layouts.append((removed, slots))
+            removed_total += len(removed)
+        padding_encrypts = len(plaintexts)
+
+        if self.config.deterministic_ivs:
+            # Keyed on (publication, padding index): leaves are padded in
+            # a fixed order, so every padding IV is identical in every
+            # runtime.
+            ciphertexts = self.cipher.encrypt_batch_seeded(
+                plaintexts,
+                [
+                    padding_nonce(publication, counter)
+                    for counter in range(padding_encrypts)
+                ],
+            )
+        else:
+            ciphertexts = self.cipher.encrypt_batch(plaintexts)
+        padding = [
+            EncryptedRecord(
+                leaf_offset=None,
+                ciphertext=ciphertext,
+                publication=publication,
+            )
+            for ciphertext in ciphertexts
+        ]
+
         overflow: dict[int, OverflowArray] = {}
-        for offset in range(self.config.domain.num_leaves):
-            array = OverflowArray(offset, capacity=capacity)
-            for record in state.removed.get(offset, ())[:capacity]:
-                array.add_removed(record)
-                removed_total += 1
-
-            def padding(offset=offset):
-                nonlocal padding_encrypts
-                counter = padding_encrypts
-                padding_encrypts += 1
-                return self._encrypted_dummy(
-                    offset, message.publication, counter
-                )
-
-            array.seal(padding, rng=self._rng)
-            overflow[offset] = array
+        used = 0
+        for offset, (removed, slots) in enumerate(layouts):
+            real = len(removed)
+            pool = [*removed, *padding[used : used + capacity - real]]
+            used += capacity - real
+            overflow[offset] = OverflowArray.sealed(
+                offset, capacity, [pool[slot] for slot in slots], real
+            )
 
         self.reports.append(
             MergeReport(
-                publication=message.publication,
+                publication=publication,
                 index_nodes=tree.num_nodes,
                 removed_records=removed_total,
                 overflow_capacity=capacity * self.config.domain.num_leaves,
@@ -254,12 +275,12 @@ class Merger:
         )
         self._padding_counter.inc(padding_encrypts)
         self._removed_counter.inc(removed_total)
-        self._tel.observe_stage("merge", message.publication, start)
+        self._tel.observe_stage("merge", publication, start)
         return [
             (
                 "cloud",
                 MergedPublication(
-                    publication=message.publication,
+                    publication=publication,
                     tree=tree,
                     overflow=overflow,
                 ),

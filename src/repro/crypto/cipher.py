@@ -30,6 +30,12 @@ from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_many
 from repro.crypto.padding import PaddingError, pad, unpad
 
 
+#: PKCS#7 padding by pad length, for the batch paths' inlined :func:`pad`.
+_PKCS7_PADS = tuple(
+    bytes([length]) * length for length in range(BLOCK_SIZE + 1)
+)
+
+
 class DecryptionError(ValueError):
     """Raised when a ciphertext cannot be decrypted (wrong key / corrupt)."""
 
@@ -167,6 +173,17 @@ class AesCbcCipher(RecordCipher):
         bodies = cbc_encrypt_many(self._block, plaintexts, ivs)
         return [iv + body for iv, body in zip(ivs, bodies)]
 
+    def encrypt_batch_seeded(
+        self, plaintexts: list[bytes], nonces: list[bytes]
+    ) -> list[bytes]:
+        """Seeded counterpart of :meth:`encrypt_batch`: each IV is
+        :meth:`derive_iv` of its nonce, then one CBC chain loop."""
+        if len(plaintexts) != len(nonces):
+            raise ValueError("one nonce per plaintext is required")
+        ivs = [self.derive_iv(nonce) for nonce in nonces]
+        bodies = cbc_encrypt_many(self._block, plaintexts, ivs)
+        return [iv + body for iv, body in zip(ivs, bodies)]
+
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) < 2 * BLOCK_SIZE:
             raise DecryptionError("ciphertext shorter than IV + one block")
@@ -258,26 +275,76 @@ class SimulatedCipher(RecordCipher):
         with self._counter_lock:
             first = self._counter + 1
             self._counter += count
+        ivs = self._prefixed_ivs(
+            b"iv",
+            [
+                counter.to_bytes(8, "little")
+                for counter in range(first, first + count)
+            ],
+        )
+        return self._xor_many(plaintexts, ivs)
+
+    def encrypt_batch_seeded(
+        self, plaintexts: list[bytes], nonces: list[bytes]
+    ) -> list[bytes]:
+        """Seeded counterpart of :meth:`encrypt_batch`; byte-identical to
+        mapping :meth:`encrypt_seeded`."""
+        if len(plaintexts) != len(nonces):
+            raise ValueError("one nonce per plaintext is required")
+        return self._xor_many(
+            plaintexts, self._prefixed_ivs(b"iv-seeded", nonces)
+        )
+
+    def _prefixed_ivs(self, tag: bytes, suffixes: list[bytes]) -> list[bytes]:
+        """``sha256(key || tag || suffix)[:16]`` per suffix, hashing the
+        shared ``key || tag`` prefix once."""
+        prefix = hashlib.sha256(self._key + tag)
+        ivs = []
+        for suffix in suffixes:
+            hasher = prefix.copy()
+            hasher.update(suffix)
+            ivs.append(hasher.digest()[:BLOCK_SIZE])
+        return ivs
+
+    def _xor_many(
+        self, plaintexts: list[bytes], ivs: list[bytes]
+    ) -> list[bytes]:
+        """IV-prefixed ciphertexts, each as :meth:`_encrypt_with_iv` would
+        make it, with padding and keystream inlined.
+
+        Payloads that pad to at most two digests (64 bytes), such as the
+        merger's padding dummies, skip the general keystream join.
+        """
         sha256 = hashlib.sha256
         key = self._key
-        iv_tag = key + b"iv"
+        pkcs7 = _PKCS7_PADS
+        block0 = (0).to_bytes(4, "little")
+        block1 = (1).to_bytes(4, "little")
         out = []
-        for index, plaintext in enumerate(plaintexts):
-            iv = sha256(
-                iv_tag + (first + index).to_bytes(8, "little")
-            ).digest()[:BLOCK_SIZE]
-            padded = pad(plaintext, BLOCK_SIZE)
+        for plaintext, iv in zip(plaintexts, ivs):
+            pad_len = BLOCK_SIZE - len(plaintext) % BLOCK_SIZE
+            padded = plaintext + pkcs7[pad_len]
             length = len(padded)
             prefix = key + iv
-            keystream = b"".join(
-                sha256(prefix + counter.to_bytes(4, "little")).digest()
-                for counter in range((length + 31) // 32)
-            )[:length]
+            if length <= 32:
+                keystream = sha256(prefix + block0).digest()
+            elif length <= 64:
+                keystream = (
+                    sha256(prefix + block0).digest()
+                    + sha256(prefix + block1).digest()
+                )
+            else:
+                keystream = b"".join(
+                    [
+                        sha256(prefix + counter.to_bytes(4, "little")).digest()
+                        for counter in range((length + 31) // 32)
+                    ]
+                )
             out.append(
                 iv
                 + (
                     int.from_bytes(padded, "little")
-                    ^ int.from_bytes(keystream, "little")
+                    ^ int.from_bytes(keystream[:length], "little")
                 ).to_bytes(length, "little")
             )
         return out

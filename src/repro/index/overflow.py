@@ -40,6 +40,38 @@ class OverflowArray:
         self._real_count = 0
         self._sealed = False
 
+    @classmethod
+    def sealed(
+        cls,
+        leaf_offset: int,
+        capacity: int,
+        entries: list[EncryptedRecord],
+        real_count: int = 0,
+    ) -> "OverflowArray":
+        """An array already padded and shuffled elsewhere.
+
+        Used by the merger, which seals every leaf of a publication in one
+        batched pass, and by wire decoding, which rebuilds a sealed array
+        verbatim.  ``real_count`` is trusted-side bookkeeping; a decoded
+        array does not know it and leaves it at 0.
+
+        Raises
+        ------
+        OverflowError_
+            If ``entries`` does not fill the array exactly.
+        """
+        array = cls(leaf_offset, capacity)
+        if len(entries) != capacity or not 0 <= real_count <= capacity:
+            raise OverflowError_(
+                f"sealed overflow array for leaf {leaf_offset} needs "
+                f"{capacity} entries with at most that many real, got "
+                f"{len(entries)} with {real_count} real"
+            )
+        array._entries = list(entries)
+        array._real_count = real_count
+        array._sealed = True
+        return array
+
     @property
     def entries(self) -> tuple[EncryptedRecord, ...]:
         """Current contents (removed real records, then padding once sealed)."""

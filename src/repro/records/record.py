@@ -73,7 +73,7 @@ def make_dummy(schema: Schema, indexed_value) -> Record:
     return Record(tuple(values), flag=DUMMY_FLAG)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedRecord:
     """An encrypted record travelling to the cloud.
 

@@ -227,3 +227,50 @@ def test_simulated_interleaved_batches_continue_counter():
     stream += interleaved.encrypt_batch([])
     stream += interleaved.encrypt_batch(messages[4:])
     assert stream == [singles.encrypt(message) for message in messages]
+
+
+def _both_ciphers():
+    keys = KeyStore(_MASTER_KEY, key_size=16)
+    return [SimulatedCipher(keys), AesCbcCipher(keys)]
+
+
+@pytest.mark.parametrize("cipher", _both_ciphers(), ids=["simulated", "aes"])
+def test_seeded_batch_equals_mapped_encrypt_seeded(cipher):
+    """Plaintext lengths 0..70 cover one-, two- and three-digest
+    keystreams; nonces in both namespaces the pipeline uses."""
+    plaintexts = [bytes([length % 251]) * length for length in range(71)]
+    nonces = [b"rec%d" % index for index in range(35)] + [
+        b"pad%d" % index for index in range(36)
+    ]
+    batched = cipher.encrypt_batch_seeded(plaintexts, nonces)
+    assert batched == [
+        cipher.encrypt_seeded(plaintext, nonce)
+        for plaintext, nonce in zip(plaintexts, nonces)
+    ]
+    for plaintext, ciphertext in zip(plaintexts, batched):
+        assert cipher.decrypt(ciphertext) == plaintext
+
+
+def test_simulated_batch_equals_map_for_lengths_0_to_100():
+    """Padded lengths 16..112: the single-digest (≤32 bytes), two-digest
+    and general multi-digest keystream paths all match :meth:`encrypt`."""
+    batching = SimulatedCipher(KeyStore(_MASTER_KEY, key_size=16))
+    mapping = SimulatedCipher(KeyStore(_MASTER_KEY, key_size=16))
+    plaintexts = [bytes(range(length)) for length in range(101)]
+    assert batching.encrypt_batch(plaintexts) == [
+        mapping.encrypt(plaintext) for plaintext in plaintexts
+    ]
+
+
+@pytest.mark.parametrize("cipher", _both_ciphers(), ids=["simulated", "aes"])
+def test_empty_batches_return_empty_lists(cipher):
+    assert cipher.encrypt_batch([]) == []
+    assert cipher.encrypt_batch_seeded([], []) == []
+
+
+@pytest.mark.parametrize("cipher", _both_ciphers(), ids=["simulated", "aes"])
+def test_seeded_batch_rejects_nonce_count_mismatch(cipher):
+    with pytest.raises(ValueError):
+        cipher.encrypt_batch_seeded([b"a", b"b"], [b"n"])
+    with pytest.raises(ValueError):
+        cipher.encrypt_batch_seeded([b"a"], [b"n", b"m"])

@@ -78,3 +78,19 @@ class TestOverflowArray:
         array = OverflowArray(0, capacity=0)
         array.seal(_padding, rng=random.Random(1))
         assert len(array) == 0
+
+    def test_presealed_constructor(self):
+        entries = [_padding(), _record(1), _padding()]
+        array = OverflowArray.sealed(4, 3, entries, real_count=1)
+        assert array.is_sealed
+        assert array.entries == tuple(entries)
+        assert array.leaf_offset == 4 and array.capacity == 3
+        assert array.real_count == 1
+        with pytest.raises(OverflowError_):
+            array.add_removed(_record(2))
+
+    def test_presealed_constructor_requires_a_full_array(self):
+        with pytest.raises(OverflowError_):
+            OverflowArray.sealed(0, 3, [_padding()])
+        with pytest.raises(OverflowError_):
+            OverflowArray.sealed(0, 1, [_record(1)], real_count=2)

@@ -1,5 +1,8 @@
 """Unit tests for records and dummies."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.records.record import (
@@ -70,3 +73,31 @@ class TestEncryptedRecord:
         record = EncryptedRecord(leaf_offset=None, ciphertext=b"x" * 16)
         assert record.tag is None
         assert record.publication == 0
+
+
+class TestEncryptedRecordSlots:
+    """Slotted and frozen: no per-record ``__dict__``, and every value
+    semantic the pipeline and the multiprocess runtimes rely on holds."""
+
+    def _record(self):
+        return EncryptedRecord(7, b"\x01" * 48, tag=3, publication=2)
+
+    def test_no_instance_dict(self):
+        record = self._record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.publication = 5
+
+    def test_pickle_round_trip(self):
+        record = self._record()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol=protocol))
+            assert clone == record and clone is not record
+
+    def test_deepcopy_equality_and_hash(self):
+        record = self._record()
+        clone = copy.deepcopy(record)
+        assert clone == record
+        assert hash(clone) == hash(record)
+        assert record != EncryptedRecord(7, b"\x01" * 48, tag=3)
+        assert len({record, clone, EncryptedRecord(None, b"")}) == 2
